@@ -46,6 +46,11 @@ class NeighborClockModel:
     many samples it performs a least-squares line fit, which averages
     out exchange jitter exactly as the paper's reference to oscillator
     modelling ([25]) envisions.
+
+    ``fit_version`` counts the changes to the sample set (every
+    :meth:`add_sample` and :meth:`reset`): two equal readings of it
+    bracket an unchanged fit, which is what lets schedule views and the
+    MAC's window memo keep results derived from the fit.
     """
 
     def __init__(self, max_samples: int = 64) -> None:
@@ -54,6 +59,7 @@ class NeighborClockModel:
         self._max_samples = max_samples
         self._samples: List[ClockSample] = []
         self._fit: Optional[Tuple[float, float]] = None  # (intercept, slope)
+        self.fit_version = 0
 
     @property
     def sample_count(self) -> int:
@@ -66,6 +72,7 @@ class NeighborClockModel:
         if len(self._samples) > self._max_samples:
             self._samples.pop(0)
         self._fit = None
+        self.fit_version += 1
 
     def reset(self) -> None:
         """Discard every sample and the fit.
@@ -77,6 +84,7 @@ class NeighborClockModel:
         """
         self._samples.clear()
         self._fit = None
+        self.fit_version += 1
 
     def _fitted(self) -> Tuple[float, float]:
         if self._fit is not None:

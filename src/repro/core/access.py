@@ -30,12 +30,13 @@ transmission beyond the data packet itself is needed at any hop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.clock.clock import Clock
 from repro.clock.sync import NeighborClockModel
-from repro.core.intervals import Interval, first_fitting, intersect, subtract
+from repro.core.intervals import Interval
 from repro.core.schedule import Schedule
 
 __all__ = [
@@ -59,6 +60,47 @@ class NoTransmitWindowError(RuntimeError):
     """
 
 
+class _NeighborMapping:
+    """A neighbour view's clock mappings.
+
+    The arithmetic of :meth:`Clock.reading`/:meth:`Clock.true_time`
+    composed with :meth:`NeighborClockModel.predict_neighbor_reading`/
+    :meth:`NeighborClockModel.own_reading_for`, in the same order, from
+    constants: the sender's clock is captured once, the model's
+    coefficients when it is fitted and again whenever its
+    ``fit_version`` moves (a rendezvous sample or a reset).
+    """
+
+    __slots__ = ("_model", "_offset", "_rate", "_fit_version", "_intercept", "_slope")
+
+    def __init__(self, own_clock: Clock, model: NeighborClockModel) -> None:
+        self._model = model
+        self._offset = own_clock.offset
+        self._rate = own_clock.rate
+        self._fit_version = -1
+        self._intercept = 0.0
+        self._slope = 0.0
+
+    def _refit(self) -> None:
+        model = self._model
+        self._intercept = model.reading_offset
+        self._slope = model.relative_rate
+        self._fit_version = model.fit_version
+
+    def to_local(self, global_time: float) -> float:
+        if self._model.fit_version != self._fit_version:
+            self._refit()
+        return self._intercept + self._slope * (self._offset + self._rate * global_time)
+
+    def to_global(self, neighbor_local: float) -> float:
+        if self._model.fit_version != self._fit_version:
+            self._refit()
+        slope = self._slope
+        if slope <= 0.0:
+            raise RuntimeError("fitted model is not invertible (slope <= 0)")
+        return ((neighbor_local - self._intercept) / slope - self._offset) / self._rate
+
+
 @dataclass(frozen=True)
 class ScheduleView:
     """A station's schedule windows expressed in global time.
@@ -80,8 +122,22 @@ class ScheduleView:
 
     @classmethod
     def own(cls, schedule: Schedule, clock: Clock) -> "ScheduleView":
-        """The view a station has of its own schedule (exact)."""
-        return cls(schedule, clock.true_time, clock.reading)
+        """The view a station has of its own schedule (exact).
+
+        The mappings are :meth:`Clock.reading` and :meth:`Clock.true_time`
+        with the clock's constants captured once: the same arithmetic in
+        the same order, without a method call and a property per call.
+        """
+        offset = clock.offset
+        rate = clock.rate
+
+        def to_local(global_time: float) -> float:
+            return offset + rate * global_time
+
+        def to_global(reading: float) -> float:
+            return (reading - offset) / rate
+
+        return cls(schedule, to_global, to_local)
 
     @classmethod
     def of_neighbor(
@@ -94,16 +150,10 @@ class ScheduleView:
 
         Global time converts to the neighbour's estimated local time by
         going through the sender's own clock and the fitted affine
-        relation between the two clocks.
+        relation between the two clocks (:class:`_NeighborMapping`).
         """
-
-        def to_local(global_time: float) -> float:
-            return model.predict_neighbor_reading(own_clock.reading(global_time))
-
-        def to_global(neighbor_local: float) -> float:
-            return own_clock.true_time(model.own_reading_for(neighbor_local))
-
-        return cls(schedule, to_global, to_local)
+        mapping = _NeighborMapping(own_clock, model)
+        return cls(schedule, mapping.to_global, mapping.to_local)
 
     def _windows_global(
         self, from_global: float, receive: bool
@@ -125,13 +175,6 @@ class ScheduleView:
         return self.schedule.is_receiving_at(self.to_local(global_time))
 
 
-def _shrunk(windows: Iterator[Interval], guard: float) -> Iterator[Interval]:
-    """Shrink each window by ``guard`` at both ends, dropping empties."""
-    for lo, hi in windows:
-        if hi - lo > 2.0 * guard:
-            yield (lo + guard, hi - guard)
-
-
 def _bounded_windows(
     view: ScheduleView,
     from_global: float,
@@ -141,14 +184,15 @@ def _bounded_windows(
     offset: float = 0.0,
 ) -> Iterator[Interval]:
     """One schedule view's windows mapped to global time, shifted by
-    ``offset``, shrunk by ``guard``, and terminated at ``horizon``.
+    ``offset``, shrunk by ``guard`` at both ends (windows no longer than
+    ``2 * guard`` are dropped; a negative ``guard`` grows them), and
+    terminated at ``horizon``.
 
-    This fuses the ``Schedule.windows -> _windows_global -> _shifted ->
-    _shrunk -> _until`` generator chain of the overlap search into a
-    single frame — same arithmetic in the same order, one generator
-    resume per window instead of five.  The stream ends before the
-    first surviving window that starts at or beyond ``horizon`` (the
-    :func:`_until` rule).
+    The run-finding of :meth:`Schedule.windows` and the mapping of
+    :meth:`ScheduleView.transmit_windows` are inlined, so the stream
+    costs one generator resume per window.  The stream ends before the
+    first surviving window whose shrunk start is at or beyond
+    ``horizon``.
     """
     schedule = view.schedule
     to_global = view.to_global
@@ -179,25 +223,51 @@ def _bounded_windows(
         index = run_end + 1
 
 
-def _first_fit_overlap(
+def _first_fit(
     a: Iterator[Interval],
     b: Iterator[Interval],
+    holes: Sequence[Iterator[Interval]],
     duration: float,
     not_before: float,
 ) -> Optional[Interval]:
-    """``first_fitting(intersect(a, b), duration, not_before)`` in one
-    loop — the avoid-free fast path of the overlap search.  Same
-    comparisons in the same order as the generic pipeline, without the
-    intersect generator between the streams and the fit test."""
+    """The first ``duration``-long interval at or after ``not_before``
+    inside one piece of ``intersect(a, b)`` minus every hole stream.
+
+    Equal to ``first_fitting`` over ``intersect`` followed by one
+    ``subtract`` per hole stream (:mod:`repro.core.intervals`), in one
+    loop: the pieces have the same end points and take the same fit
+    test in the same order.  Holes of one stream must be ordered by
+    both ends; they may overlap, as grown windows do.  An overlap that
+    cannot hold the burst before any hole is cut out of it is passed
+    over at once, since cutting only shortens it.
+    """
+    heads = [next(hole_stream, None) for hole_stream in holes]
     current_a = next(a, None)
     current_b = next(b, None)
     while current_a is not None and current_b is not None:
         start = max(current_a[0], current_b[0])
         end = min(current_a[1], current_b[1])
-        if start < end:
-            candidate = max(start, not_before)
-            if end - candidate >= duration:
+        if start < end and end - max(start, not_before) >= duration:
+            if not heads:
+                candidate = max(start, not_before)
                 return (candidate, candidate + duration)
+            # Walk the overlap's pieces between the holes, in order.
+            cursor = start
+            while True:
+                hole_lo = hole_hi = end
+                for position, hole in enumerate(heads):
+                    while hole is not None and hole[1] <= cursor:
+                        hole = next(holes[position], None)
+                    heads[position] = hole
+                    if hole is not None and hole[0] < hole_lo:
+                        hole_lo, hole_hi = hole
+                if hole_lo > cursor:
+                    candidate = max(cursor, not_before)
+                    if hole_lo - candidate >= duration:
+                        return (candidate, candidate + duration)
+                if hole_hi >= end:
+                    break
+                cursor = max(cursor, hole_hi)
         # Advance whichever interval ends first.
         if current_a[1] <= current_b[1]:
             current_a = next(a, None)
@@ -206,29 +276,110 @@ def _first_fit_overlap(
     return None
 
 
-def _shifted(windows: Iterator[Interval], offset: float) -> Iterator[Interval]:
-    """Translate every window by ``offset`` (order is preserved)."""
-    if offset == 0.0:
-        yield from windows
-        return
-    for lo, hi in windows:
-        yield (lo + offset, hi + offset)
+def _clip_bound(view: ScheduleView, now: float, guard: float, offset: float) -> float:
+    """Where a search from ``now`` lets ``view``'s first window start:
+    ``now`` mapped to the view's clock and back, shifted by ``offset``
+    and shrunk by ``guard`` -- the arithmetic of :func:`_bounded_windows`."""
+    clipped = view.to_global(view.to_local(now))
+    if offset != 0.0:
+        clipped += offset
+    return clipped + guard
 
 
-def _grown(windows: Iterator[Interval], guard: float) -> Iterator[Interval]:
-    """Grow each window by ``guard`` at both ends, merging any overlaps."""
-    pending: Optional[Interval] = None
-    for lo, hi in windows:
-        lo, hi = lo - guard, hi + guard
-        if pending is None:
-            pending = (lo, hi)
-        elif lo <= pending[1]:
-            pending = (pending[0], max(pending[1], hi))
-        else:
-            yield pending
-            pending = (lo, hi)
-    if pending is not None:
-        yield pending
+def _reuse_until(
+    window: Interval,
+    searched_at: float,
+    sender: ScheduleView,
+    receiver: ScheduleView,
+    guard: float,
+    propagation_delay: float,
+) -> float:
+    """The latest ``now`` up to which a search with the same arguments
+    returns ``window`` again, as far as the sender and the receiver are
+    concerned.
+
+    A later search differs from the one made at ``searched_at`` in
+    where each stream is clipped (its first window starts at
+    :func:`_clip_bound`), in a later horizon, and in the protected
+    windows that have ended (see :func:`_protected_unchanged`).  The
+    horizon only adds windows after the found one, and clipping only
+    removes time, so the window stays first while its start is at or
+    after both clip bounds.  The ``+ guard`` matters: the clipped
+    first window is shrunk too, so a start within one guard of ``now``
+    is no longer allowed.  Both bounds grow with ``now`` (every mapping
+    is monotone), so a ``now`` at which they hold vouches for every
+    earlier one; the candidates tried are ``start - guard`` and two
+    slightly earlier times that absorb the mappings' rounding.
+    """
+    start = window[0]
+    offset = -propagation_delay
+    slot_time = sender.schedule.slot_time
+    for margin in (0.0, slot_time * 1e-9, slot_time * 1e-6):
+        now = start - guard - margin
+        if now <= searched_at:
+            break
+        if start >= _clip_bound(sender, now, guard, 0.0) and start >= _clip_bound(
+            receiver, now, guard, offset
+        ):
+            return now
+    # The search itself started every stream at its clip bound, so the
+    # window it found satisfies both at ``searched_at``.
+    return searched_at
+
+
+def _first_receive_ends(
+    avoid: Sequence[ScheduleView], searched_at: float
+) -> Tuple[float, ...]:
+    """For each view in ``avoid``, the local end of the first receive
+    window a search from ``searched_at`` cuts out of it (the first
+    window of :meth:`Schedule.receive_windows` from that instant)."""
+    return tuple(
+        next(view.schedule.receive_windows(view.to_local(searched_at)))[1]
+        for view in avoid
+    )
+
+
+def _protected_unchanged(
+    now: float,
+    duration: float,
+    sender: ScheduleView,
+    receiver: ScheduleView,
+    avoid: Sequence[ScheduleView],
+    receive_ends: Sequence[float],
+    guard: float,
+    propagation_delay: float,
+) -> bool:
+    """Whether the protected windows of ``avoid`` that a search at
+    ``now`` no longer sees leave the window found by an earlier search
+    first (the sender and receiver conditions of :func:`_reuse_until`
+    holding at ``now``); ``receive_ends`` is what
+    :func:`_first_receive_ends` returned for that search.
+
+    A protected window is a hole grown by the guard.  Dropping one that
+    has ended, or clipping the first, frees time the earlier search
+    could not use, but only before the view's :func:`_clip_bound`.
+    Every start a search at ``now`` can return is at or after the
+    sender's and the receiver's clip bounds, so the view is harmless
+    when its bound is not past theirs.  Otherwise, while none of its
+    windows has ended, the freed time is the sliver cut off its clipped
+    first hole, and a burst there would have to end where that hole now
+    starts (its clip bound with the guard negated); only a dropped
+    window forces a new search.
+    """
+    offset = -propagation_delay
+    bound = max(
+        _clip_bound(sender, now, guard, 0.0),
+        _clip_bound(receiver, now, guard, offset),
+    )
+    for view, receive_end in zip(avoid, receive_ends):
+        if _clip_bound(view, now, guard, offset) <= bound:
+            continue
+        if (
+            view.to_local(now) >= receive_end
+            or _clip_bound(view, now, -guard, offset) - bound >= duration
+        ):
+            return False
+    return True
 
 
 def find_transmit_window(
@@ -292,35 +443,22 @@ def find_transmit_window(
         receiver, earliest, True, guard, horizon, -propagation_delay
     )
     if avoid:
-        candidates: Iterator[Interval] = intersect(sender_stream, receiver_stream)
-        for neighbor in avoid:
-            candidates = subtract(
-                candidates,
-                _grown(
-                    _shifted(
-                        neighbor.receive_windows(earliest), -propagation_delay
-                    ),
-                    guard,
-                ),
+        # A protected receive window is a hole grown by the guard: its
+        # stream shrunk by -guard, with no horizon.
+        holes = [
+            _bounded_windows(
+                neighbor, earliest, True, -guard, math.inf, -propagation_delay
             )
-        window = first_fitting(candidates, duration, not_before=earliest)
+            for neighbor in avoid
+        ]
+        window = _first_fit(sender_stream, receiver_stream, holes, duration, earliest)
     else:
-        window = _first_fit_overlap(
-            sender_stream, receiver_stream, duration, earliest
-        )
+        window = _first_fit(sender_stream, receiver_stream, (), duration, earliest)
     if window is None:
         raise NoTransmitWindowError(
             f"no {duration}-long overlap within {search_slots} slots of {earliest}"
         )
     return window
-
-
-def _until(stream: Iterator[Interval], horizon: float) -> Iterator[Interval]:
-    """Pass intervals through until one starts at or beyond ``horizon``."""
-    for lo, hi in stream:
-        if lo >= horizon:
-            return
-        yield (lo, hi)
 
 
 def overlap_fraction(p: float) -> float:

@@ -8,7 +8,9 @@ The transmit loop:
    transmit windows overlap the addressee's receive windows (as
    estimated through the fitted clock model) minus the receive windows
    of any near neighbour the transmission would significantly interfere
-   with (Section 7.3).
+   with (Section 7.3).  The window found for a next hop is kept and
+   returned again on later wakes for as long as a new search provably
+   returns the same one (:class:`_Found`).
 3. Sleep until the earliest such interval; wake early if a new packet
    arrives (it might be sendable sooner, to a different neighbour).
 4. Transmit the packet — a single burst, no RTS/CTS, no acknowledgement
@@ -22,15 +24,59 @@ station never transmits during them.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.core.access import NoTransmitWindowError, find_transmit_window
+from repro.clock.sync import NeighborClockModel
+from repro.core.access import (
+    NoTransmitWindowError,
+    ScheduleView,
+    _first_receive_ends,
+    _protected_unchanged,
+    _reuse_until,
+    find_transmit_window,
+)
+from repro.core.intervals import Interval
 from repro.mac.base import MacProtocol
 from repro.net.packet import Packet
 from repro.obs.events import SlotClaim, SlotYield
 from repro.sim.process import ProcessGenerator
 
 __all__ = ["ShepardMac"]
+
+
+class _Found(NamedTuple):
+    """A window found for one next hop, and what it was found from.
+
+    ``key`` holds the search arguments that can change between wakes:
+    airtime, propagation delay, guard, horizon, and the station's
+    ``view_epoch``, which moves whenever a view or a courtesy set is
+    replaced.  ``models`` are the clock models behind the receiver's
+    and the protected neighbours' views, whose ``fit_version`` moves on
+    every refit.  With all of them unchanged, a search at ``now`` in
+    ``[searched_at, reuse_until]`` returns ``window`` again when
+    ``avoid`` is empty, and otherwise when
+    :func:`~repro.core.access._protected_unchanged` also holds, given
+    ``receive_ends`` (the protected views' first receive-window ends at
+    ``searched_at``).
+    """
+
+    key: Tuple[float, float, float, int, int]
+    models: Tuple[NeighborClockModel, ...]
+    fit_versions: Tuple[int, ...]
+    avoid: Tuple[ScheduleView, ...]
+    receive_ends: Tuple[float, ...]
+    searched_at: float
+    reuse_until: float
+    window: Interval
+
+    def fits(self, now: float, key: Tuple[float, float, float, int, int]) -> bool:
+        """Whether the search inputs are unchanged and ``now`` is in range."""
+        if not self.searched_at <= now <= self.reuse_until or self.key != key:
+            return False
+        for model, fit_version in zip(self.models, self.fit_versions):
+            if model.fit_version != fit_version:
+                return False
+        return True
 
 
 class ShepardMac(MacProtocol):
@@ -54,6 +100,7 @@ class ShepardMac(MacProtocol):
             raise ValueError("guard must be non-negative")
         self.guard = guard
         self.search_slots = search_slots
+        self._found: Dict[int, _Found] = {}
 
     def is_listening(self, now: float) -> bool:
         """Listening iff the published schedule says receive window."""
@@ -64,23 +111,64 @@ class ShepardMac(MacProtocol):
     ) -> Optional[Tuple[float, int, Packet]]:
         """The queue head with the earliest feasible transmit instant."""
         station = self.station
+        found = self._found
+        guard = self.guard
+        search_slots = self.search_slots
+        epoch = station.view_epoch
         best: Optional[Tuple[float, int, Packet]] = None
         for next_hop, packet in station.queue.heads():
             duration = packet.airtime(station.data_rate_bps)
-            try:
-                window = find_transmit_window(
-                    station.own_view,
-                    station.neighbor_view(next_hop),
-                    duration,
-                    earliest=now,
-                    guard=self.guard,
-                    avoid=station.avoid_views(next_hop),
-                    search_slots=self.search_slots,
-                    propagation_delay=station.delay_for(next_hop),
+            delay = station.delay_for(next_hop)
+            key = (duration, delay, guard, search_slots, epoch)
+            entry = found.get(next_hop)
+            if (
+                entry is not None
+                and entry.fits(now, key)
+                and (
+                    not entry.avoid
+                    or _protected_unchanged(
+                        now,
+                        duration,
+                        station.own_view,
+                        station.neighbor_view(next_hop),
+                        entry.avoid,
+                        entry.receive_ends,
+                        guard,
+                        delay,
+                    )
                 )
-            except NoTransmitWindowError:
-                station.record_unreachable(next_hop)
-                continue
+            ):
+                window = entry.window
+            else:
+                sender = station.own_view
+                receiver = station.neighbor_view(next_hop)
+                avoid = station.avoid_views(next_hop)
+                try:
+                    window = find_transmit_window(
+                        sender,
+                        receiver,
+                        duration,
+                        earliest=now,
+                        guard=guard,
+                        avoid=avoid,
+                        search_slots=search_slots,
+                        propagation_delay=delay,
+                    )
+                except NoTransmitWindowError:
+                    found.pop(next_hop, None)
+                    station.record_unreachable(next_hop)
+                    continue
+                models = station._clock_models_toward(next_hop)
+                found[next_hop] = _Found(
+                    key,
+                    models,
+                    tuple(model.fit_version for model in models),
+                    avoid,
+                    _first_receive_ends(avoid, now),
+                    now,
+                    _reuse_until(window, now, sender, receiver, guard, delay),
+                    window,
+                )
             if best is None or window[0] < best[0]:
                 best = (window[0], next_hop, packet)
         return best

@@ -131,6 +131,9 @@ class Station:
         self._neighbor_models: Dict[int, NeighborClockModel] = {}
         self._avoid_neighbors: Dict[int, Tuple[int, ...]] = {}
         self._avoid_cache: Dict[int, Tuple[ScheduleView, ...]] = {}
+        # Bumped whenever a schedule view or a courtesy set changes, so
+        # results derived from them (the MAC's window memo) can tell.
+        self.view_epoch = 0
         self._arrival_event: Optional[Event] = None
         self._control_handlers: Dict[str, Callable[[Transmission], None]] = {}
         # Optional stop-and-wait ARQ sublayer (repro.mac.arq); None —
@@ -150,6 +153,7 @@ class Station:
             schedule, self.clock, model
         )
         self._avoid_cache.clear()
+        self.view_epoch += 1
 
     def set_avoid_neighbors(
         self, next_hop: int, neighbors: Sequence[int]
@@ -163,6 +167,7 @@ class Station:
         """
         self._avoid_neighbors[next_hop] = tuple(neighbors)
         self._avoid_cache.pop(next_hop, None)
+        self.view_epoch += 1
 
     def neighbor_view(self, neighbor: int) -> ScheduleView:
         """The sender's-eye view of a neighbour's schedule."""
@@ -186,6 +191,14 @@ class Station:
         self._avoid_cache[next_hop] = views
         return views
 
+    def _clock_models_toward(self, next_hop: int) -> Tuple[NeighborClockModel, ...]:
+        """The clock models behind ``neighbor_view(next_hop)`` and
+        ``avoid_views(next_hop)``, in that order."""
+        models = self._neighbor_models
+        return (models[next_hop],) + tuple(
+            models[neighbor] for neighbor in self._avoid_neighbors.get(next_hop, ())
+        )
+
     def replace_clock(self, clock: Clock) -> None:
         """Swap in a new clock (a step/rate fault) and rebuild every
         schedule view derived from the old one."""
@@ -196,6 +209,7 @@ class Station:
                 self.schedule, clock, model
             )
         self._avoid_cache.clear()
+        self.view_epoch += 1
 
     def power_for(self, next_hop: int) -> float:
         """Transmit power toward a neighbour (policy applied to the link)."""

@@ -1,18 +1,21 @@
 """Tests for the collision-free channel access computation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock.clock import Clock
-from repro.clock.sync import exact_model
+from repro.clock.sync import NeighborClockModel, exact_model, exchange_readings
 from repro.core.access import (
     NoTransmitWindowError,
     ScheduleView,
+    _bounded_windows,
     expected_wait_slots,
     find_transmit_window,
     overlap_fraction,
 )
+from repro.core.intervals import first_fitting, intersect, subtract
 from repro.core.schedule import Schedule
 
 
@@ -234,6 +237,103 @@ class TestFindTransmitWindow:
         for t in (start + 1e-9, (start + end) / 2, end - 1e-9):
             assert not sender.is_receiving_at(t)
             assert receiver_truth.is_receiving_at(t)
+
+
+class TestNeighborMapping:
+    def test_mapping_follows_every_refit(self):
+        own, other = Clock(offset=10.0, rate_error=2e-5), Clock(offset=733.25)
+        model = NeighborClockModel()
+        model.add_sample(exchange_readings(own, other, 0.0))
+        view = ScheduleView.of_neighbor(SCHEDULE, own, model)
+        for when in (5.0, 9.0, 40.0):
+            assert view.to_local(when) == model.predict_neighbor_reading(
+                own.reading(when)
+            )
+            assert view.to_global(when) == own.true_time(model.own_reading_for(when))
+            model.add_sample(
+                exchange_readings(own, Clock(offset=733.25 + when), when)
+            )
+
+
+def _grown(windows, guard):
+    """Each window grown by ``guard`` at both ends, overlaps merged."""
+    pending = None
+    for lo, hi in windows:
+        lo, hi = lo - guard, hi + guard
+        if pending is None:
+            pending = (lo, hi)
+        elif lo <= pending[1]:
+            pending = (pending[0], max(pending[1], hi))
+        else:
+            yield pending
+            pending = (lo, hi)
+
+
+def _reference_search(sender, receiver, duration, earliest, guard, avoid, delay, slots):
+    """The search as the interval algebra states it: intersect the two
+    bounded streams, subtract each protected neighbour's grown receive
+    windows, take the first fitting piece."""
+    horizon = earliest + slots * sender.schedule.slot_time
+    pieces = intersect(
+        _bounded_windows(sender, earliest, False, guard, horizon),
+        _bounded_windows(receiver, earliest, True, guard, horizon, -delay),
+    )
+    for view in avoid:
+        holes = (
+            (lo - delay, hi - delay) if delay else (lo, hi)
+            for lo, hi in view.receive_windows(earliest)
+        )
+        pieces = subtract(pieces, _grown(holes, guard))
+    return first_fitting(pieces, duration, not_before=earliest)
+
+
+def _random_problems(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sender_clock = Clock(
+            offset=float(rng.uniform(0.0, 1e6)),
+            rate_error=float(rng.uniform(-50.0, 50.0)) * 1e-6,
+        )
+        views = [
+            neighbor_view(
+                sender_clock,
+                Clock(
+                    offset=sender_clock.offset + float(rng.uniform(-1e6, 1e6)),
+                    rate_error=float(rng.uniform(-50.0, 50.0)) * 1e-6,
+                ),
+            )
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        yield (
+            ScheduleView.own(SCHEDULE, sender_clock),
+            views[0],
+            float(rng.choice([0.1, 0.25])),
+            float(rng.uniform(0.0, 100.0)),
+            float(rng.choice([0.0, 0.01, 0.05])),
+            tuple(views[1:]),
+            float(rng.choice([0.0, 0.02])),
+        )
+
+
+class TestFusedSearchMatchesIntervalAlgebra:
+    """The fused kernel against the slow path it replaces."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_windows_equal(self, seed):
+        for sender, receiver, duration, earliest, guard, avoid, delay in (
+            _random_problems(seed, 300)
+        ):
+            expected = _reference_search(
+                sender, receiver, duration, earliest, guard, avoid, delay, 200
+            )
+            try:
+                found = find_transmit_window(
+                    sender, receiver, duration, earliest, guard=guard, avoid=avoid,
+                    search_slots=200, propagation_delay=delay,
+                )
+            except NoTransmitWindowError:
+                found = None
+            assert found == expected
 
 
 class TestClosedForms:
