@@ -373,18 +373,7 @@ def build_metro_scene(
     # Traffic sink and power control: each station talks to its
     # strongest stored neighbour.  Free space is monotone in distance,
     # so argmax gain == nearest station.
-    nearest = np.zeros(station_count, dtype=np.intp)
-    gain_to_nearest = np.zeros(station_count)
-    for station in range(station_count):
-        rows, vals = gain_field.column(station)
-        if rows.size == 0:
-            raise ValueError(
-                f"station {station} has no stored neighbours; the cull "
-                "threshold is too aggressive for this density"
-            )
-        best = int(np.argmax(vals))
-        nearest[station] = rows[best]
-        gain_to_nearest[station] = vals[best]
+    nearest, gain_to_nearest = _strongest_neighbours(gain_field)
 
     # Section 6 power control with the network builder's cap: nobody
     # radiates more than twice the power the weakest usable link needs.
@@ -425,6 +414,28 @@ def build_metro_scene(
         packet_size_bits=packet_size_bits,
         seed=seed,
     )
+
+
+def _strongest_neighbours(
+    gain_field: SparseGainField,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per column, the first stored entry of maximal gain — the
+    ``argmax`` of every column at once — as ``(receivers, gains)``."""
+    indptr = gain_field.indptr
+    sizes = np.diff(indptr)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValueError(
+            f"station {int(empty[0])} has no stored neighbours; the cull "
+            "threshold is too aggressive for this density"
+        )
+    starts = indptr[:-1]
+    vals = gain_field.vals
+    column_max = np.maximum.reduceat(vals, starts)
+    at_max = vals == np.repeat(column_max, sizes)
+    positions = np.where(at_max, np.arange(vals.size), vals.size)
+    best = np.minimum.reduceat(positions, starts)
+    return gain_field.rows[best].astype(np.intp), vals[best]
 
 
 def _first_joint_start(

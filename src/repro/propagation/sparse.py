@@ -29,13 +29,18 @@ Two distinct mechanisms shrink a column, with different standing:
   *bit-identical* to the dense one: exact zeros are the only dropped
   entries, and adding ``0.0`` to a non-negative float is the identity.
 
-The chunked builder (:meth:`SparseGainField.from_placement`) streams the
-pairwise geometry in ``(M, chunk)`` slabs so a million-station scene
-never materialises an O(M^2) array.
+The builder (:meth:`SparseGainField.from_placement`) walks the pairwise
+geometry in ``(tile, chunk)`` blocks — column slabs of ``chunk``
+transmitters, each taken in row tiles of receivers — so its memory is
+O(tile x chunk) beside the output and a million-station scene never
+materialises an O(M^2) array.  The row tiles keep ``culled_in_sum``
+bit-exact: each receiver's slab row is still one contiguous sum.  Time
+stays O(M^2), because the exact culled sum needs every pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -46,11 +51,32 @@ from repro.propagation.models import PropagationModel
 
 __all__ = ["SparseGainField", "DEFAULT_CHUNK_COLUMNS"]
 
-#: Default number of transmitter columns per build slab.  At 10^5
-#: stations a slab is ``(10^5, 128)`` floats (~100 MB transient), small
-#: enough to stream comfortably and large enough to amortise numpy
-#: dispatch.
+#: Default number of transmitter columns per build slab.  It fixes the
+#: grouping of the ``culled_in_sum`` additions, so it is part of a
+#: scene's identity; the memory a slab costs is set by the row tile.
 DEFAULT_CHUNK_COLUMNS = 128
+
+#: Receivers per row tile inside a build slab.  A ``(512, 128)`` float
+#: block is 512 KB, so a tile's temporaries stay in cache; 256-1024 time
+#: the same.  Tile boundaries move no output bit (see
+#: :meth:`SparseGainField.from_placement`).
+_ROW_TILE = 512
+
+
+def _bounding_diagonal(x: np.ndarray, y: np.ndarray) -> float:
+    """Diagonal of the placement's bounding box, rounded as the build
+    rounds a pair distance.
+
+    Rounding is monotone, so for every pair ``|fl(x_i - x_j)| <=
+    fl(x_max - x_min)`` (likewise in y), and squaring, adding and
+    ``sqrt`` keep that order: no distance the build computes exceeds the
+    value returned here.
+    """
+    if x.size == 0:
+        return 0.0
+    width = float(x.max() - x.min())
+    height = float(y.max() - y.min())
+    return math.sqrt(width * width + height * height)
 
 
 @dataclass(frozen=True)
@@ -288,21 +314,31 @@ class SparseGainField:
         horizon_m: Optional[float] = None,
         chunk_columns: int = DEFAULT_CHUNK_COLUMNS,
     ) -> "SparseGainField":
-        """Chunked build straight from geometry: O(M x chunk) memory.
+        """Cache-blocked build straight from geometry: O(tile x chunk)
+        memory, O(M^2) time.
 
-        Streams transmitters in slabs of ``chunk_columns``: for each
-        slab the distances from every receiver are formed, mapped
-        through the propagation model, horizon-zeroed, and split into
-        kept CSR entries plus the two culled accounts.  The stored
-        entries (``rows``/``vals``) and ``culled_out_max`` are
-        bit-identical for every chunk size — each entry's gain is
+        Transmitters are taken in slabs of ``chunk_columns`` and, inside
+        each slab, receivers in row tiles of :data:`_ROW_TILE`.  For
+        each tile the distances are formed, mapped through the
+        propagation model, horizon-zeroed, and split into kept CSR
+        entries plus the two culled accounts; every temporary is one
+        ``(tile, chunk)`` block, small enough to stay in cache.
+
+        Time stays O(M^2): ``culled_in_sum`` is the exact sum of every
+        culled gain into a receiver, so every pair is evaluated.
+
+        The stored entries (``rows``/``vals``) and ``culled_out_max``
+        are bit-identical for every chunk size — each entry's gain is
         computed by the same scalar arithmetic regardless of slab
-        boundaries, and the out-max is column-local.  ``culled_in_sum``
-        accumulates across slabs, so its grouping (and hence its last
-        few ulps) follows the chunk size; it is an error *bound*
-        account, not simulated state, so replay determinism is
-        unaffected as long as one chunk size is used per scene build
-        (the default is fixed at :data:`DEFAULT_CHUNK_COLUMNS`).
+        boundaries, and the out-max is exact in any order.
+        ``culled_in_sum`` accumulates across slabs, so its grouping (and
+        hence its last few ulps) follows the chunk size.  It feeds the
+        scene calibration through :meth:`interference_bound_w`, so a
+        scene is reproducible for one chunk size (the default is fixed
+        at :data:`DEFAULT_CHUNK_COLUMNS`).  Row tiles do not move it by
+        an ulp: each receiver's slab row is still reduced by one
+        contiguous ``sum(axis=1)``, and the slab sums are added in slab
+        order.
         """
         if cull_gain < 0.0:
             raise ValueError("cull gain must be non-negative")
@@ -312,31 +348,75 @@ class SparseGainField:
         count = placement.count
         x = positions[:, 0]
         y = positions[:, 1]
+        # The horizon pass can zero nothing when every pair distance is
+        # at most the horizon.  ``_bounding_diagonal`` is an exact upper
+        # bound on every computed distance; the 1e-9 margin only makes
+        # the skip more conservative.
+        horizon_binds = horizon_m is not None and not (
+            _bounding_diagonal(x, y) * (1.0 + 1e-9) < horizon_m
+        )
         row_pieces = []
         val_pieces = []
         sizes = np.zeros(count, dtype=np.int64)
         culled_in_sum = np.zeros(count)
         culled_out_max = np.zeros(count)
+        # Flat scratch for the dx/dy blocks; each tile takes a leading
+        # run of it reshaped to (rows, width), which stays C-contiguous.
+        block = min(_ROW_TILE, count) * min(chunk_columns, count)
+        dx_scratch = np.empty(block)
+        dy_scratch = np.empty(block)
         for begin in range(0, count, chunk_columns):
             end = min(begin + chunk_columns, count)
             width = end - begin
-            dx = x[:, None] - x[None, begin:end]
-            dy = y[:, None] - y[None, begin:end]
-            distance = np.sqrt(dx * dx + dy * dy)
-            gains = np.asarray(model.power_gain(distance), dtype=float)
-            # Zero the self-gain diagonal (Type 3 is handled locally).
-            gains[np.arange(begin, end), np.arange(width)] = 0.0
-            if horizon_m is not None:
-                gains[distance > horizon_m] = 0.0
-            positive = gains > 0.0
-            kept = positive & (gains >= cull_gain)
-            culled_gains = np.where(positive & ~kept, gains, 0.0)
-            culled_in_sum += culled_gains.sum(axis=1)
-            culled_out_max[begin:end] = culled_gains.max(axis=0)
-            cols, receivers = np.nonzero(kept.T)
+            tile_rows = []
+            tile_cols = []
+            tile_vals = []
+            for low in range(0, count, _ROW_TILE):
+                high = min(low + _ROW_TILE, count)
+                shape = (high - low, width)
+                dx = dx_scratch[: shape[0] * width].reshape(shape)
+                dy = dy_scratch[: shape[0] * width].reshape(shape)
+                np.subtract.outer(x[low:high], x[begin:end], out=dx)
+                np.subtract.outer(y[low:high], y[begin:end], out=dy)
+                np.multiply(dx, dx, out=dx)
+                np.multiply(dy, dy, out=dy)
+                distance = np.sqrt(np.add(dx, dy, out=dx), out=dx)
+                gains = np.asarray(model.power_gain(distance), dtype=float)
+                # Zero the self-gain diagonal (Type 3 is handled locally).
+                first = max(low, begin)
+                last = min(high, end)
+                if first < last:
+                    own = np.arange(first, last)
+                    gains[own - low, own - begin] = 0.0
+                if horizon_binds:
+                    gains[distance > horizon_m] = 0.0
+                if cull_gain > 0.0:
+                    kept = gains >= cull_gain
+                    culled = np.where(kept, 0.0, gains)
+                    culled_in_sum[low:high] += culled.sum(axis=1)
+                    np.maximum(
+                        culled_out_max[begin:end],
+                        culled.max(axis=0),
+                        out=culled_out_max[begin:end],
+                    )
+                else:
+                    kept = gains > 0.0
+                flat = np.flatnonzero(kept)
+                receivers, cols = np.divmod(flat, width)
+                tile_rows.append(receivers + low)
+                tile_cols.append(cols)
+                tile_vals.append(gains.ravel()[flat])
+            # Tiles arrive in receiver order and each tile's entries in
+            # row-major order, so a stable sort by column leaves every
+            # column's receivers strictly ascending.  Narrowing the keys
+            # lets numpy use its radix sort.
+            cols = np.concatenate(tile_cols)
+            order = np.argsort(
+                cols.astype(np.min_scalar_type(width - 1)), kind="stable"
+            )
             sizes[begin:end] = np.bincount(cols, minlength=width)
-            row_pieces.append(receivers.astype(np.int32))
-            val_pieces.append(gains.T[cols, receivers])
+            row_pieces.append(np.concatenate(tile_rows)[order].astype(np.int32))
+            val_pieces.append(np.concatenate(tile_vals)[order])
         indptr = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
         return cls(

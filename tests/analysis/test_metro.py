@@ -9,11 +9,13 @@ from repro.analysis.metro import (
     LEGACY_SCENE_DENSITY,
     MetroProjection,
     _first_joint_start,
+    _strongest_neighbours,
     build_metro_scene,
     run_metro_scene,
 )
 from repro.clock.clock import Clock
 from repro.core.access import NoTransmitWindowError, ScheduleView, find_transmit_window
+from repro.propagation.sparse import SparseGainField
 from repro.sim.engine import Environment
 
 
@@ -125,6 +127,63 @@ class TestMetroScene:
             build_metro_scene(1)
         with pytest.raises(ValueError):
             build_metro_scene(10, clock_offset_span_slots=1.0)
+
+
+class TestStrongestNeighbours:
+    """The per-column first-argmax over the CSR arrays against the
+    column-by-column ``argmax`` loop it replaced."""
+
+    def test_matches_the_column_loop(self):
+        scene = build_metro_scene(1000, seed=5)
+        nearest = np.zeros(scene.station_count, dtype=np.intp)
+        gain_to_nearest = np.zeros(scene.station_count)
+        for station in range(scene.station_count):
+            rows, vals = scene.gain_field.column(station)
+            best = int(np.argmax(vals))
+            nearest[station] = rows[best]
+            gain_to_nearest[station] = vals[best]
+        got_nearest, got_gain = _strongest_neighbours(scene.gain_field)
+        assert got_nearest.dtype == nearest.dtype
+        assert np.array_equal(got_nearest, nearest)
+        assert np.array_equal(got_gain, gain_to_nearest)
+        assert np.array_equal(scene.nearest, nearest)
+
+    @staticmethod
+    def _field(columns):
+        """A 4-station field from ``{transmitter: [(receiver, gain)]}``."""
+        sizes = [len(columns.get(j, [])) for j in range(4)]
+        entries = [entry for j in range(4) for entry in columns.get(j, [])]
+        return SparseGainField(
+            count=4,
+            indptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+            rows=np.array([r for r, _ in entries], dtype=np.int32),
+            vals=np.array([g for _, g in entries], dtype=float),
+            cull_gain=0.0,
+            culled_in_sum=np.zeros(4),
+            culled_out_max=np.zeros(4),
+        )
+
+    def test_ties_go_to_the_first_stored_receiver(self):
+        field = self._field(
+            {
+                0: [(1, 2.0), (2, 5.0), (3, 5.0)],
+                1: [(0, 7.0)],
+                2: [(0, 1.0), (3, 1.0)],
+                3: [(1, 0.5), (2, 3.0)],
+            }
+        )
+        nearest, gains = _strongest_neighbours(field)
+        assert nearest.tolist() == [2, 0, 0, 2]
+        assert gains.tolist() == [5.0, 7.0, 1.0, 3.0]
+
+    def test_first_station_without_neighbours_is_named(self):
+        field = self._field({0: [(1, 1.0)], 1: [(0, 1.0)], 3: [(0, 1.0)]})
+        with pytest.raises(ValueError, match="station 2 has no stored"):
+            _strongest_neighbours(field)
+
+    def test_over_aggressive_cull_fails_the_build(self):
+        with pytest.raises(ValueError, match="station 0 has no stored"):
+            build_metro_scene(50, seed=3, cull_fraction=1e9)
 
 
 class TestMetroRun:
