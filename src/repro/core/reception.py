@@ -188,7 +188,9 @@ class TrackerBatch:
     tracker state (threshold, wanted-signal power, noise, worst SIR,
     failure time) in dense parallel arrays so one :meth:`update` call
     folds the new interference level into all receptions with a handful
-    of numpy operations instead of a Python loop.
+    of numpy operations instead of a Python loop.  When a change touches
+    only a few receptions (the sparse medium's common case),
+    :meth:`update_one` folds them in one by one at O(1) each.
 
     Entries are keyed by an opaque integer ``tag`` (the medium uses the
     transmission sequence number) and stored densely: removal swaps the
@@ -323,52 +325,37 @@ class TrackerBatch:
         self._failed_at[:count][newly] = now
         return tuple(self._tags[int(i)] for i in np.nonzero(newly)[0])
 
-    def update_where(
-        self,
-        now: float,
-        interference_power_w: np.ndarray,
-        positions: np.ndarray,
-    ) -> Tuple[int, ...]:
-        """Fold new interference levels into a *subset* of trackers.
+    def update_one(self, now: float, tag: int, interference_power_w: float) -> bool:
+        """Fold one interference level into the tracker of ``tag`` alone.
 
         The sparse medium knows exactly which receivers a field change
         touched (the transmitter's CSR column), so it updates only the
-        receptions at those receivers; untouched trackers saw no field
-        change and their SIR is unchanged by construction.  Per-entry
-        arithmetic is identical to :meth:`update` — a touched tracker
-        ends up in the same state either way.
-
-        Args:
-            now: current simulation time.
-            interference_power_w: one interference level per touched
-                tracker, parallel to ``positions``.
-            positions: dense storage positions of the touched trackers
-                (from masking :attr:`receivers`).
+        receptions at those receivers, one scalar call each; untouched
+        trackers saw no field change and their SIR is unchanged by
+        construction.  The per-entry arithmetic is :meth:`update`'s —
+        the same Eq. 6 division in IEEE double, the same ``inf`` for a
+        zero denominator, the same running minimum and first-failure
+        rule — so a touched tracker ends up bit-identical either way.
 
         Returns:
-            Tags that failed at this update.
+            ``True`` iff the criterion failed *at this update* (the
+            scalar form of :meth:`update`'s failed-tags tuple).
         """
-        touched = positions.size
-        if touched == 0:
-            return ()
-        if interference_power_w.shape != (touched,):
-            raise ValueError(f"expected {touched} interference powers")
-        denominator = interference_power_w + self._noise[positions]
-        mask = denominator > 0.0
-        current = np.full(touched, math.inf)
-        np.divide(
-            self._signal[positions], denominator, out=current, where=mask
+        position = self._position[tag]
+        denominator = interference_power_w + self._noise.item(position)
+        current = (
+            self._signal.item(position) / denominator
+            if denominator > 0.0
+            else math.inf
         )
-        np.minimum(self._min_sir[positions], current, out=current)
-        self._min_sir[positions] = current
-        newly = (current < self._threshold[positions]) & np.isnan(
-            self._failed_at[positions]
-        )
-        if not newly.any():
-            return ()
-        failed_positions = positions[newly]
-        self._failed_at[failed_positions] = now
-        return tuple(self._tags[int(i)] for i in failed_positions)
+        if current < self._min_sir.item(position):
+            self._min_sir[position] = current
+        if current < self._threshold.item(position) and math.isnan(
+            self._failed_at.item(position)
+        ):
+            self._failed_at[position] = now
+            return True
+        return False
 
     def position(self, tag: int) -> int:
         """Current dense storage position of ``tag``.

@@ -38,13 +38,19 @@ exact recomputation.
 Metro scale: a dense ``(M, M)`` gain matrix is 80 GB at 10^5 stations,
 so the medium also accepts a horizon-culled
 :class:`~repro.propagation.sparse.SparseGainField`.  The axpy becomes
-a scatter over the transmitter's CSR column, tracker updates touch
-only the receptions that column can affect, and the drift guard works
+a scatter over the transmitter's CSR column, and the drift guard works
 unchanged (the resync recomputes over the same stored structure).
-Significance culling under-reports interference by a *provably
-bounded* amount — :meth:`Medium.field_error_bound_w` witnesses the
-bound at any instant — and a cull threshold of zero makes sparse mode
-bit-identical to dense.
+Tracker updates touch only the receptions that column can affect, and
+cost O(touched), not O(tracked): a receiver index (per-station lock
+counts plus receiver -> locked receptions) finds them with one gather,
+and each is folded in by a scalar update with the vector pass's
+arithmetic.  Significance culling under-reports interference by a
+*provably bounded* amount — :meth:`Medium.field_error_bound_w`
+witnesses the bound at any instant from per-transmission terms stored
+when each burst begins — and a cull threshold of zero makes sparse
+mode bit-identical to dense.  Under the sanitizer every resync also
+checks the receiver index and the bound's terms against the state
+they summarise.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.collisions import CollisionType, InterferenceSource, classify_loss
-from repro.core.reception import TrackerBatch
+from repro.core.reception import TrackerBatch, TrackerRecord
 from repro.net.packet import Packet
 from repro.propagation.sparse import SparseGainField
 from repro.radio.receiver_model import ReceiverModel
@@ -176,9 +182,11 @@ class Medium:
             metro-scale sparse medium.  Sparse mode replaces the dense
             O(M) axpy with a scatter over the transmitter's CSR column
             and updates only the reception trackers whose receiver that
-            column touches; with a cull threshold of zero the two modes
-            are bit-identical, and with culling on the under-reported
-            interference is bounded by :meth:`field_error_bound_w`.
+            column touches, found through the receiver index at O(1)
+            per touched reception; with a cull threshold of zero the
+            two modes are bit-identical, and with culling on the
+            under-reported interference is bounded by
+            :meth:`field_error_bound_w`.
         thermal_noise_w: per-receiver thermal noise floor.
         sir_thresholds: per-station required SIR for reception.
         listen_query: callable ``(station, now) -> bool``: is the station
@@ -255,17 +263,25 @@ class Medium:
         self._tx_count = np.zeros(stations, dtype=np.int64)
         self._resync_events = resync_events
         self._field_changes = 0
-        # Scratch buffers for the hot path (axpy temporary, the
-        # per-attempt gathers, and the sparse touched-receiver mask);
-        # contents meaningless between calls.
+        # Scratch buffers for the hot path (axpy temporary and the
+        # per-attempt gathers); contents meaningless between calls.
         self._axpy = np.zeros(stations) if self.sparse is None else None
         self._gather = np.zeros(16)
         self._gather_own = np.zeros(16)
-        self._touched = (
-            np.zeros(stations, dtype=bool) if self.sparse is not None else None
-        )
         self._attempts: Dict[int, ReceptionAttempt] = {}
         self._trackers = TrackerBatch()
+        # Receiver index over the locked receptions: a per-station count
+        # (one gather filters a CSR column down to the receivers holding
+        # a lock) and receiver -> {seq: wanted-signal power}.  Both
+        # change only in _try_lock and _unlock.
+        self._locked_count = np.zeros(stations, dtype=np.int64)
+        self._locked_at: Dict[int, Dict[int, float]] = {}
+        # Sparse mode: one culling-bound term per active transmission,
+        # in _active's insertion order (see field_error_bound_w).
+        self._culled_out_max = (
+            self.sparse.culled_out_max if self.sparse is not None else None
+        )
+        self._bound_terms: Dict[int, float] = {}
         # Receptions whose despreader bank carries a cancelling
         # ReceiverModel, keyed by seq.  Empty unless a bank opts in, so
         # the default path pays one falsy dict check per update.
@@ -381,19 +397,21 @@ class Medium:
         receiver ``i`` by exactly ``sum_{j active} P_j * g_ij^culled``,
         and every culled ``g_ij`` is at most the transmitter's
         ``culled_out_max[j]`` recorded at build time, so the bound is
-        ``sum_{j active} P_j * culled_out_max[j]`` — computed exactly
-        from the active set on demand (no incremental float drift in
-        the witness itself).  Dense mode culls nothing: 0.0.
+        ``sum_{j active} P_j * culled_out_max[j]``.  Dense mode culls
+        nothing: 0.0.
+
+        Each term ``P_j * culled_out_max[j]`` is formed once, when the
+        transmission begins, and kept in a dict in ``_active``'s
+        insertion order until it ends or is aborted.  The bound is the
+        builtin ``sum`` over those terms: the same terms, in the same
+        order, through the same ``sum`` as a walk over the active set,
+        so the value is bit-identical to that walk on every Python
+        version (3.12's float ``sum`` is compensated, so the order and
+        the summation routine both matter).  A running sum would
+        drift from it by rounding, and a numpy reduction sums pairwise;
+        either would change the recorded bound.
         """
-        if self.sparse is None:
-            return 0.0
-        culled_out_max = self.sparse.culled_out_max
-        return float(
-            sum(
-                tx.power_w * float(culled_out_max[tx.source])
-                for tx in self._active.values()
-            )
-        )
+        return float(sum(self._bound_terms.values()))
 
     def interference_at(self, receiver: int, exclude_seq: Optional[int]) -> float:
         """Interference-plus-nothing power at a receiver, excluding one
@@ -564,8 +582,56 @@ class Medium:
                     f"gains @ powers recompute (max abs error {worst:.3e} W "
                     f"after {self._field_changes} field changes)"
                 )
+            self._check_receiver_index()
+            self._check_bound_terms()
         self._interference = exact
         self._field_changes = 0
+
+    def _check_receiver_index(self) -> None:
+        """Sanitizer: the receiver index must equal what the tracker
+        batch implies -- per-station lock counts, and the tags (with
+        their wanted-signal powers) locked at each receiver."""
+        batch = self._trackers
+        counts = np.bincount(batch.receivers, minlength=self.station_count)
+        derived: Dict[int, Dict[int, float]] = {}
+        for tag, receiver, signal in zip(
+            batch.tags, batch.receivers.tolist(), batch.signals.tolist()
+        ):
+            derived.setdefault(receiver, {})[tag] = signal
+        if not np.array_equal(counts, self._locked_count):
+            stations = np.nonzero(counts != self._locked_count)[0]
+            raise SanitizerError(
+                "receiver index lock counts disagree with the tracker batch "
+                f"at stations {stations[:8].tolist()}"
+            )
+        if derived != self._locked_at:
+            raise SanitizerError(
+                "receiver index tags disagree with the tracker batch "
+                f"(index {self._locked_at!r}, batch {derived!r})"
+            )
+
+    def _check_bound_terms(self) -> None:
+        """Sanitizer: one culling-bound term per active transmission, in
+        ``_active``'s order, each bit-equal to a fresh recompute."""
+        if self._culled_out_max is None:
+            expected: Dict[int, float] = {}
+        else:
+            culled_out_max = self._culled_out_max
+            expected = {
+                seq: tx.power_w * float(culled_out_max[tx.source])
+                for seq, tx in self._active.items()
+            }
+        if list(self._bound_terms) != list(expected):
+            raise SanitizerError(
+                "culling-bound terms are not keyed like the active set "
+                f"(terms {list(self._bound_terms)}, active {list(expected)})"
+            )
+        for seq, term in self._bound_terms.items():
+            if float(term).hex() != float(expected[seq]).hex():
+                raise SanitizerError(
+                    f"culling-bound term of transmission {seq} is {term!r}, "
+                    f"a fresh recompute gives {expected[seq]!r}"
+                )
 
     def _apply_axpy(self, source: int, power_w: float) -> None:
         """Add one transmitter's contribution to the incremental field.
@@ -596,6 +662,10 @@ class Medium:
 
     def _begin(self, tx: Transmission) -> None:
         self._active[tx.seq] = tx
+        if self._culled_out_max is not None:
+            self._bound_terms[tx.seq] = tx.power_w * float(
+                self._culled_out_max[tx.source]
+            )
         self._tx_count[tx.source] += 1
         self._powers[tx.source] += tx.power_w
         self._apply_axpy(tx.source, tx.power_w)
@@ -638,6 +708,8 @@ class Medium:
             noise_power_w=self.thermal_noise_w,
         )
         self._attempts[tx.seq] = ReceptionAttempt(tx, channel)
+        self._locked_count[receiver] += 1
+        self._locked_at.setdefault(receiver, {})[tx.seq] = float(signal_power)
         model = getattr(bank, "model", None)
         if model is not None and model.cancels:
             self._sic_models[tx.seq] = model
@@ -645,6 +717,24 @@ class Medium:
             self.instr.emit(
                 RxLock(self.env.now, receiver, tx.source, channel)
             )
+
+    def _unlock(self, seq: int) -> Optional[Tuple[ReceptionAttempt, TrackerRecord]]:
+        """Stop tracking one reception, if it is locked: drop its
+        attempt, its receiver model, its tracker entry and its receiver
+        index entry together.  The despreader channel is the caller's to
+        release, because ``_end`` releases it only after the overhearers
+        have run."""
+        attempt = self._attempts.pop(seq, None)
+        self._sic_models.pop(seq, None)
+        if attempt is None:
+            return None
+        receiver = attempt.transmission.destination
+        self._locked_count[receiver] -= 1
+        locked = self._locked_at[receiver]
+        del locked[seq]
+        if not locked:
+            del self._locked_at[receiver]
+        return attempt, self._trackers.remove(seq)
 
     def _update_attempts(self) -> None:
         batch = self._trackers
@@ -693,52 +783,48 @@ class Medium:
         Type 3 mechanism when a locked receiver later keys up), and the
         destination (a freshly locked attempt needs its first sample
         even if the wanted link was culled).  Everything else saw the
-        identical interference level and is skipped; per-entry
-        arithmetic for the touched subset matches the full pass.
+        identical interference level and is skipped.
+
+        The receiver index makes the work O(touched): one gather of the
+        lock counts filters the column down to receivers holding a
+        lock, and each reception there is folded in by
+        :meth:`TrackerBatch.update_one` with the same per-entry
+        arithmetic as the full pass (receiver models included).
         """
         if self.sparse is None:
             self._update_attempts()
             return
-        batch = self._trackers
-        if batch.count == 0:
+        locked_at = self._locked_at
+        if not locked_at:
             return
         rows, _ = self._column(tx.source)
-        touched = self._touched
-        assert touched is not None
-        touched[rows] = True
-        touched[tx.source] = True
-        touched[tx.destination] = True
-        receivers = batch.receivers
-        positions = np.nonzero(touched[receivers])[0]
-        touched[rows] = False
-        touched[tx.source] = False
-        touched[tx.destination] = False
-        if positions.size == 0:
-            return
-        targets = receivers[positions]
-        interference = self._interference[targets]
-        interference += self._powers[targets] * SELF_COUPLING_GAIN
-        interference -= batch.signals[positions]
-        np.maximum(interference, 0.0, out=interference)
-        if self._sic_models:
-            # Untouched SIC receptions saw no field change, so their
-            # cancelled level is unchanged too — only the touched
-            # subset needs the model re-applied.
-            local = {int(p): k for k, p in enumerate(positions)}
-            for seq, model in self._sic_models.items():
-                k = local.get(batch.position(seq))
-                if k is not None:
-                    interference[k] = self._cancel_for(
-                        seq,
-                        model,
-                        float(batch.signals[positions[k]]),
-                        float(interference[k]),
-                    )
-        for seq in batch.update_where(self.env.now, interference, positions):
-            attempt = self._attempts[seq]
-            attempt.failure_sources = self._significant_sources(
-                attempt.transmission.destination, seq
+        receivers = rows[self._locked_count[rows] > 0].tolist()
+        # The column never holds its own transmitter (zero diagonal);
+        # the destination is usually in it.
+        if tx.source in locked_at:
+            receivers.append(tx.source)
+        if tx.destination in locked_at and tx.destination not in receivers:
+            receivers.append(tx.destination)
+        now = self.env.now
+        update_one = self._trackers.update_one
+        sic_models = self._sic_models
+        for receiver in receivers:
+            field = (
+                self._interference.item(receiver)
+                + self._powers.item(receiver) * SELF_COUPLING_GAIN
             )
+            for seq, signal in locked_at[receiver].items():
+                level = field - signal
+                if level < 0.0:
+                    level = 0.0
+                if sic_models:
+                    model = sic_models.get(seq)
+                    if model is not None:
+                        level = self._cancel_for(seq, model, signal, level)
+                if update_one(now, seq, level):
+                    self._attempts[seq].failure_sources = (
+                        self._significant_sources(receiver, seq)
+                    )
 
     def _notify_overhearers(self, tx: Transmission) -> None:
         """One vectorised eligibility pass over all registered overhearers.
@@ -777,6 +863,7 @@ class Medium:
             # from the field — the stale end timer has nothing to do.
             return False
         del self._active[tx.seq]
+        self._bound_terms.pop(tx.seq, None)
         self._tx_count[tx.source] -= 1
         self._powers[tx.source] -= tx.power_w
         if abs(self._powers[tx.source]) < 1e-18:
@@ -785,17 +872,16 @@ class Medium:
         self._field_changed()
         if self.instr.active:
             self.instr.emit(TxEnd(self.env.now, tx.source, tx.destination))
-        attempt = self._attempts.pop(tx.seq, None)
-        self._sic_models.pop(tx.seq, None)
-        record = self._trackers.remove(tx.seq) if attempt is not None else None
+        unlocked = self._unlock(tx.seq)
         # Interference at the remaining receivers drops; fold that in
         # after removing the ended transmission.
         self._update_attempts_for(tx)
         self._notify_overhearers(tx)
 
-        if attempt is None or record is None:
+        if unlocked is None:
             self._record_unlocked_loss(tx)
             return False
+        attempt, record = unlocked
 
         bank = self._channel_query(tx.destination)
         bank.release(tx.seq)
@@ -908,12 +994,8 @@ class Medium:
         way to know — but their outcome is now a loss with ``reason``,
         recorded when each burst ends.
         """
-        for seq, attempt in list(self._attempts.items()):
-            if attempt.transmission.destination != station:
-                continue
-            del self._attempts[seq]
-            self._sic_models.pop(seq, None)
-            self._trackers.remove(seq)
+        for seq in list(self._locked_at.get(station, ())):
+            self._unlock(seq)
             self._channel_query(station).release(seq)
             self._lock_failures[seq] = reason
 
@@ -930,16 +1012,14 @@ class Medium:
         aborted = [tx for tx in self._active.values() if tx.source == station]
         for tx in aborted:
             del self._active[tx.seq]
+            self._bound_terms.pop(tx.seq, None)
             self._tx_count[tx.source] -= 1
             self._powers[tx.source] -= tx.power_w
             if abs(self._powers[tx.source]) < 1e-18:
                 self._powers[tx.source] = 0.0
             self._remove_axpy(tx.source, tx.power_w)
             self._field_changed()
-            attempt = self._attempts.pop(tx.seq, None)
-            self._sic_models.pop(tx.seq, None)
-            if attempt is not None:
-                self._trackers.remove(tx.seq)
+            if self._unlock(tx.seq) is not None:
                 self._channel_query(tx.destination).release(tx.seq)
             self._lock_failures.pop(tx.seq, None)
             self._record_loss(tx, reason, frozenset(), float("nan"))

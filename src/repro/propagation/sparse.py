@@ -365,6 +365,7 @@ class SparseGainField:
         block = min(_ROW_TILE, count) * min(chunk_columns, count)
         dx_scratch = np.empty(block)
         dy_scratch = np.empty(block)
+        near_field = model.near_field_clamp
         for begin in range(0, count, chunk_columns):
             end = min(begin + chunk_columns, count)
             width = end - begin
@@ -381,7 +382,12 @@ class SparseGainField:
                 np.multiply(dx, dx, out=dx)
                 np.multiply(dy, dy, out=dy)
                 distance = np.sqrt(np.add(dx, dy, out=dx), out=dx)
-                gains = np.asarray(model.power_gain(distance), dtype=float)
+                # ``power_gain`` less its negative-distance check, which a
+                # square root cannot trip, and its allocating clamp: the
+                # clamp goes into the spent dy tile, so ``distance``
+                # stays unclamped for the horizon test.
+                clamped = np.maximum(distance, near_field, out=dy)
+                gains = np.asarray(model._gain_clamped(clamped), dtype=float)
                 # Zero the self-gain diagonal (Type 3 is handled locally).
                 first = max(low, begin)
                 last = min(high, end)
